@@ -85,10 +85,6 @@ class ClassInfo:
     methods: Dict[str, ast.FunctionDef] = field(default_factory=dict)
     is_dataclass: bool = False
 
-    @property
-    def qualname(self) -> str:
-        return f"{self.module}.{self.name}"
-
     def lock_node_name(self, attr: str) -> str:
         """Graph-node spelling of one of this class's lock attributes."""
         return f"{self.name}.{attr}"
@@ -571,11 +567,6 @@ def self_attr(node: ast.AST) -> Optional[str]:
             and node.value.id == "self":
         return node.attr
     return None
-
-
-def with_lock_names(item: ast.withitem) -> Optional[str]:
-    """``X`` when a with-item context is ``self.X``, else ``None``."""
-    return self_attr(item.context_expr)
 
 
 def dotted(node: ast.AST) -> str:

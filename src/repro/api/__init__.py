@@ -5,7 +5,7 @@ One import gives the whole pipeline behind one front door::
     from repro.api import SpectralIndex
 
     index = SpectralIndex.build((32, 32))        # domain -> index
-    execution = index.range(((4, 4), (9, 9)))    # B+-tree range query
+    execution = index.range(((4, 4), (9, 9)))    # span-scan range query
     result = index.nn((5, 5), k=8)               # rank-window k-NN
 
 The pieces, in dependency order:

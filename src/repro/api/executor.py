@@ -12,12 +12,14 @@ The knob resolves in precedence order:
    policy, like the solver cutoffs);
 3. ``1`` — sequential, the safe default.
 
-Query execution scales under threads because the per-query hot paths
-(rank-window scans, Manhattan re-ranking, page-set computation) spend
-their time in numpy kernels that release the GIL, while the shared
-mutable state they touch (buffer pool, lazy view/store materialization,
-service caches) is individually locked — see
-:mod:`repro.storage.buffer` and :class:`~repro.api.SpectralIndex`.
+Threads are safe here (the shared mutable state — buffer pool, lazy
+view/store materialization, service caches — is individually locked;
+see :mod:`repro.storage.buffer` and :class:`~repro.api.SpectralIndex`)
+but do not speed a batch up: its queries are many small numpy calls
+between stretches of Python that hold the GIL.  On a warm 128x128
+32-query batch (28 ranges, 3 nn, 1 join; 2-CPU x86 VM, CPython 3.11),
+``parallelism=2`` ran at 0.6x the speed of ``parallelism=1``.  Keep
+the default at 1.
 """
 
 from __future__ import annotations

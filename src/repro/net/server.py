@@ -312,6 +312,11 @@ class SpectralServer:
             self._closed = True
             self._draining = True
         if self._listener is not None:
+            # Wakes the accept() that close() alone leaves blocked.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

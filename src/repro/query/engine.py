@@ -1,15 +1,17 @@
 """LinearStore: an executable end-to-end spatial store.
 
 The paper's architecture, assembled: a :class:`LinearStore` maps grid
-cells through a :class:`~repro.mapping.LocalityMapping` into 1-D keys,
-indexes the keys in a B+-tree, and lays the records onto fixed-size
-pages.  Range queries run the way Section 5 models them:
+cells through a :class:`~repro.mapping.LocalityMapping` into 1-D keys
+(the ranks), indexes the keys in a B+-tree, and lays the records onto
+fixed-size pages.  Range queries run the way Section 5 models them:
 
 ``"span-scan"``
-    Descend the B+-tree to the query's minimum key and walk the leaf
-    chain to its maximum key, "eliminating the records that lie outside
-    the range query" (the paper's own description).  Cost tracks the
-    Figure-6 span.
+    Scan the ranks from the query's minimum ``lo`` to its maximum
+    ``hi``, "eliminating the records that lie outside the range query"
+    (the paper's own description): pages ``lo // page_size`` to
+    ``hi // page_size``, B+-tree node accesses computed from the
+    bulk-loaded tree's shape (:class:`~repro.index.BPlusTree` is the
+    test oracle).  Cost tracks the Figure-6 span.
 ``"page-fetch"``
     Fetch exactly the pages containing qualifying records (an index
     union plan).  Cost tracks pages + seeks.
@@ -17,7 +19,7 @@ pages.  Range queries run the way Section 5 models them:
 Both plans return identical result sets; the engine reports per-plan
 I/O so their trade-off is measurable per mapping, and an optional LRU
 buffer absorbs repeated pages across a query stream.  A built store is
-immutable (tree, layout, ranks) and its buffer pool locks per access,
+immutable (ranks, layout, index shape) and its buffer pool locks per access,
 so one store may serve queries from many threads concurrently —
 ``execute_workload(parallelism=...)`` and the facade's
 ``query_many(parallelism=...)`` rely on exactly that.
@@ -40,7 +42,6 @@ from repro.errors import InvalidParameterError
 from repro.parallel import ensure_workers, map_in_threads
 from repro.geometry.boxes import Box
 from repro.geometry.grid import Grid
-from repro.index.bplustree import BPlusTree
 from repro.mapping.interface import LocalityMapping
 from repro.obs import Timer, registry, span
 from repro.storage.buffer import BufferStats, LRUBufferPool
@@ -127,14 +128,12 @@ class LinearStore:
         self._mapping = mapping
         if order is None:
             order = mapping.order_domain(grid, service=service)
+        if tree_order < 3:
+            raise InvalidParameterError(f"tree_order {tree_order} < 3")
         self._ranks = order.ranks
         self._layout = PageLayout(order, page_size)
-        # Key = rank; value = flat cell index.
-        self._tree = BPlusTree.bulk_load(
-            list(range(grid.size)),
-            [int(cell) for cell in order.permutation],
-            order=tree_order,
-        )
+        self._tree_order = int(tree_order)
+        self._index_height = _bulk_load_height(grid.size, self._tree_order)
         self._buffer = (LRUBufferPool(buffer_capacity)
                         if buffer_capacity else None)
         self._model = cost_model or DiskCostModel()
@@ -153,8 +152,9 @@ class LinearStore:
         return self._layout
 
     @property
-    def tree(self) -> BPlusTree:
-        return self._tree
+    def index_height(self) -> int:
+        """Root-to-leaf levels of the bulk-loaded B+-tree on the ranks."""
+        return self._index_height
 
     # ------------------------------------------------------------------
     def range_query(self, box: Box,
@@ -173,21 +173,20 @@ class LinearStore:
 
     def _range_query_impl(self, box: Box, plan: str) -> QueryExecution:
         wanted = box.cell_indices(self._grid)
-        wanted_set = set(int(c) for c in wanted)
-        ranks = self._ranks[wanted]
-        lo, hi = int(ranks.min()), int(ranks.max())
-
+        results = np.sort(wanted)
         if plan == "span-scan":
-            candidates, node_accesses = self._tree.range_search(lo, hi)
-            results = np.array(sorted(
-                cell for cell in candidates if cell in wanted_set
-            ), dtype=np.int64)
-            pages = self._layout.pages_for_items(
-                np.array(candidates, dtype=np.int64))
+            # BPlusTree.range_search's walk: the descent, each further
+            # leaf up to hi's, and the next leaf when hi ends a leaf.
+            ranks = self._ranks[wanted]
+            lo, hi = int(ranks.min()), int(ranks.max())
+            fan, page_size = self._tree_order, self._layout.page_size
+            node_accesses = self._index_height + hi // fan - lo // fan
+            if (hi + 1) % fan == 0 and hi + 1 < len(self._ranks):
+                node_accesses += 1
+            pages = np.arange(lo // page_size, hi // page_size + 1)
         else:  # page-fetch
             node_accesses = 0
             pages = self._layout.pages_for_items(wanted)
-            results = np.sort(wanted)
 
         runs = len(self._layout.page_run_lengths(pages))
         hits = 0
@@ -213,9 +212,8 @@ class LinearStore:
     def point_query(self, point: Sequence[int]) -> Tuple[bool, int]:
         """Whether a cell exists (always true on a full grid) and the
         B+-tree node accesses spent proving it."""
-        cell = self._grid.index_of(point)
-        value, accesses = self._tree.search(int(self._ranks[cell]))
-        return value is not None, accesses
+        self._grid.index_of(point)  # raises outside the grid
+        return True, self._index_height
 
     def buffer_stats(self) -> Optional[BufferStats]:
         """The buffer pool's accounting snapshot (``None`` unbuffered).
@@ -274,3 +272,12 @@ class WorkloadReport:
     seeks: int
     buffer_hits: int
     cost: float
+
+
+def _bulk_load_height(n: int, order: int) -> int:
+    """``BPlusTree.bulk_load``'s height: ``ceil(n / order)`` leaves,
+    then ``ceil(m / order)`` parents per level up to one root."""
+    height, nodes = 1, max(1, -(-n // order))
+    while nodes > 1:
+        height, nodes = height + 1, -(-nodes // order)
+    return height

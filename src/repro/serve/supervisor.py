@@ -422,11 +422,6 @@ class ProcessFleet:
         _DISPATCHED.inc()
         return response
 
-    def request_worker(self, worker_id: int, message):
-        """Like :meth:`request`, addressed by worker rather than shard."""
-        return self.request(self._handles[worker_id].shard_ids[0],
-                            message)
-
     def broadcast(self, message, *,
                   parallelism: Optional[int] = None) -> List:
         """Send ``message`` to every worker; payloads in worker order."""

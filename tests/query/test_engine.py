@@ -44,7 +44,7 @@ def test_plans_agree_on_results(store):
 def test_span_scan_accounts_index_accesses(store):
     _, engine = store
     execution = engine.range_query(Box((0, 0), (3, 3)))
-    assert execution.index_node_accesses >= engine.tree.height
+    assert execution.index_node_accesses >= engine.index_height
     assert execution.plan == "span-scan"
 
 
@@ -66,7 +66,7 @@ def test_point_query(store):
     _, engine = store
     found, accesses = engine.point_query((3, 4))
     assert found
-    assert accesses == engine.tree.height
+    assert accesses == engine.index_height
 
 
 def test_buffer_absorbs_repeats():
