@@ -231,8 +231,9 @@ def fiedler_vector(graph: Graph, backend: str = "auto",
     tol = max(rtol * max(abs(lambda2), 1.0), 1e-10)
     # Window entirely inside the group means multiplicity >= k (stars,
     # complete graphs).  Double the window until a value above the group
-    # appears: for dense each call is a full eigh anyway, and for the
-    # iterative backends closing a high-multiplicity group one deflated
+    # appears: for dense each call is one direct solve (a tridiagonal
+    # reduction plus the bottom k pairs, never dearer than a full eigh),
+    # and for the iterative backends closing a high-multiplicity group one deflated
     # solve at a time would cost O(multiplicity) Krylov runs — doubling
     # reaches the (effectively dense) full-window solve in O(log n)
     # steps instead.  In the common case the first window already

@@ -5,6 +5,15 @@ vector is only defined for connected graphs (a disconnected graph has
 ``lambda_2 = 0`` and a locality order must be computed per component), and
 BFS order is one of the deterministic tie-breaking keys for equal Fiedler
 entries.
+
+Both traversals run level-synchronously on the graph's CSR arrays
+(:meth:`~repro.graph.adjacency.Graph.csr_arrays`): each level gathers
+the frontier's neighbour slices in one vectorized step, drops vertices
+already seen, and keeps the first occurrence of each remaining vertex in
+gather order.  Since rows list neighbours in ascending id order, that
+reproduces exactly the visit order of the textbook queue-based BFS that
+scans each vertex's neighbours in ascending order, at numpy speed
+instead of one Python call per vertex.
 """
 
 from __future__ import annotations
@@ -17,6 +26,38 @@ from repro.errors import InvalidParameterError
 from repro.graph.adjacency import Graph
 
 
+def _bfs(indptr: np.ndarray, degree: np.ndarray, indices: np.ndarray,
+         seen: np.ndarray, start: int) -> np.ndarray:
+    """Visit order of ``start``'s component; marks it in ``seen``."""
+    seen[start] = True
+    frontier = np.array([start], dtype=np.int64)
+    levels = [frontier]
+    while True:
+        counts = degree[frontier]
+        ends = counts.cumsum()
+        # The frontier's rows, concatenated in frontier order: entry j of
+        # the gather sits at its row's start plus j minus the row's
+        # offset in the concatenation.
+        shift = np.repeat(indptr[frontier] - (ends - counts), counts)
+        gathered = indices[shift + np.arange(ends[-1])]
+        gathered = gathered[~seen[gathered]]
+        if not gathered.size:
+            break
+        # First occurrences in gather order: a stable sort puts each
+        # vertex's copies together, earliest first.
+        order = gathered.argsort(kind="stable")
+        ranked = gathered[order]
+        first = np.empty(ranked.size, dtype=bool)
+        first[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        keep = order[first]
+        keep.sort()
+        frontier = gathered[keep]
+        seen[frontier] = True
+        levels.append(frontier)
+    return np.concatenate(levels).astype(np.int64, copy=False)
+
+
 def bfs_order(graph: Graph, start: int = 0) -> np.ndarray:
     """Vertices of ``start``'s component in breadth-first visit order.
 
@@ -26,20 +67,9 @@ def bfs_order(graph: Graph, start: int = 0) -> np.ndarray:
     n = graph.num_vertices
     if not 0 <= start < n:
         raise InvalidParameterError(f"start vertex {start} out of range")
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    visited: List[int] = []
-    while frontier:
-        next_frontier: List[int] = []
-        for v in frontier:
-            visited.append(v)
-            for u in graph.neighbors(v):
-                if not seen[u]:
-                    seen[u] = True
-                    next_frontier.append(int(u))
-        frontier = next_frontier
-    return np.array(visited, dtype=np.int64)
+    indptr, indices, _ = graph.csr_arrays()
+    return _bfs(indptr, graph.degrees(), indices, np.zeros(n, dtype=bool),
+                int(start))
 
 
 def connected_components(graph: Graph) -> Tuple[np.ndarray, int]:
@@ -50,19 +80,15 @@ def connected_components(graph: Graph) -> Tuple[np.ndarray, int]:
     vertices form singleton components.
     """
     n = graph.num_vertices
+    indptr, indices, _ = graph.csr_arrays()
+    degree = graph.degrees()
     labels = np.full(n, -1, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
     count = 0
     for root in range(n):
-        if labels[root] >= 0:
+        if seen[root]:
             continue
-        labels[root] = count
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in graph.neighbors(v):
-                if labels[u] < 0:
-                    labels[u] = count
-                    stack.append(int(u))
+        labels[_bfs(indptr, degree, indices, seen, root)] = count
         count += 1
     return labels, count
 

@@ -33,10 +33,10 @@ then tears the connections down — a bounced server never strands an
 in-flight answer it could have delivered.
 
 A client that dies mid-request costs nothing but its own answer: the
-dispatcher completes, the send fails, the response is discarded, the
-connection is reaped, and ``repro_net_connections_dropped_total``
-ticks — the queue slot and dispatcher thread are released exactly as
-on the success path.
+dispatcher completes, the send is refused (the peer's EOF is already
+queued) or fails, the response is discarded, the connection is reaped,
+and ``repro_net_connections_dropped_total`` ticks — the queue slot and
+dispatcher thread are released exactly as on the success path.
 """
 
 from __future__ import annotations
@@ -133,6 +133,29 @@ _HANDLE_SECONDS = registry().histogram(
 _COALESCED = registry().counter(
     "repro_net_coalesced_total",
     "Order requests served by another connection's in-flight solve.")
+
+
+def _peer_hung_up(sock: socket.socket) -> bool:
+    """Whether the peer's EOF (or reset) is already queued on ``sock``.
+
+    A non-blocking ``MSG_PEEK``: it consumes nothing, so the reader
+    thread blocked on the same socket is unaffected.  Unread request
+    bytes ahead of the EOF read as "still there"; the reader accounts
+    for those when it admits them.  Where the platform has no
+    ``MSG_DONTWAIT`` (Windows) the answer is always "no": a blocking
+    peek could hang the reply, and a select-then-peek can lose the
+    bytes to the reader in between.  Such a drop goes uncounted, as it
+    did before this check existed.
+    """
+    dontwait = getattr(socket, "MSG_DONTWAIT", 0)
+    if not dontwait:
+        return False
+    try:
+        return sock.recv(1, socket.MSG_PEEK | dontwait) == b""
+    except BlockingIOError:
+        return False
+    except OSError:
+        return True
 
 
 class _Connection:
@@ -686,6 +709,11 @@ class SpectralServer:
                 # which the except below already absorbs.
                 if conn.closed:  # repro-lint: disable=RPR007
                     raise ConnectionLostError("connection already reaped")
+                if _peer_hung_up(conn.sock):
+                    # The send below would still succeed into the kernel
+                    # buffer, and the reader, seeing the EOF only after
+                    # the request left "in flight", would not count it.
+                    raise ConnectionLostError("peer closed before the reply")
                 send_frame(conn.sock, seq, response)
         except Exception:
             # The client is gone (or the payload will not frame): the

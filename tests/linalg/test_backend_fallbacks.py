@@ -19,8 +19,7 @@ from repro.graph import laplacian, path_graph
 from repro.linalg import smallest_eigenpairs
 
 
-@pytest.fixture
-def no_scipy(monkeypatch):
+def _hide_scipy(monkeypatch):
     """Make every `import scipy...` raise ImportError."""
     real_import = builtins.__import__
 
@@ -33,6 +32,11 @@ def no_scipy(monkeypatch):
         if module_name == "scipy" or module_name.startswith("scipy."):
             monkeypatch.delitem(sys.modules, module_name)
     monkeypatch.setattr(builtins, "__import__", fake_import)
+
+
+@pytest.fixture
+def no_scipy(monkeypatch):
+    _hide_scipy(monkeypatch)
 
 
 def test_scipy_available_reports_false(no_scipy):
@@ -61,3 +65,25 @@ def test_spectral_pipeline_runs_without_scipy(no_scipy):
     from repro.geometry import Grid
     order = SpectralLPM(backend="lanczos").order_grid(Grid((5, 5)))
     assert sorted(order.permutation) == list(range(25))
+
+
+def test_dense_backend_without_scipy_matches_subset_routine(monkeypatch):
+    # With scipy the dense backend asks LAPACK for the bottom k pairs
+    # only; without it numpy's full decomposition serves the same pairs
+    # and the same orders.
+    from repro.core import SpectralLPM
+    from repro.geometry import Grid
+
+    lap = laplacian(path_graph(40))
+    ones = np.ones(40) / np.sqrt(40)
+    grid = Grid((9, 13))
+    values, vectors = smallest_eigenpairs(lap, 3, backend="dense",
+                                          deflate=[ones])
+    order = SpectralLPM(backend="dense").order_grid(grid)
+    _hide_scipy(monkeypatch)
+    full_values, full_vectors = smallest_eigenpairs(lap, 3, backend="dense",
+                                                    deflate=[ones])
+    assert np.allclose(values, full_values, rtol=0, atol=1e-12)
+    assert np.allclose(np.abs(vectors.T @ full_vectors), np.eye(3),
+                       atol=1e-10)
+    assert SpectralLPM(backend="dense").order_grid(grid) == order

@@ -66,6 +66,75 @@ def test_client_death_mid_request_frees_the_slot():
         assert _dropped() - dropped_before == 1
 
 
+def test_reply_after_unread_eof_counts_the_drop(monkeypatch):
+    """Force the losing order of the race: the dead client's EOF is
+    queued before the dispatcher replies, but the reader thread sees it
+    only afterwards, so the reaper finds nothing in flight.  The reply
+    itself must notice the queued EOF and count the drop."""
+    import repro.net.server as server_module
+
+    replied = threading.Event()
+    real_reply = server_module.SpectralServer._reply
+    real_recv = server_module.recv_frame
+    frames = []
+
+    def reply_then_signal(self, conn, seq, response):
+        try:
+            real_reply(self, conn, seq, response)
+        finally:
+            replied.set()
+
+    def recv_held_after_first_frame(sock):
+        if frames:
+            # The reader reaches EOF only once the reply has been sent.
+            assert replied.wait(timeout=20)
+        frame = real_recv(sock)
+        frames.append(frame)
+        return frame
+
+    monkeypatch.setattr(server_module.SpectralServer, "_reply",
+                        reply_then_signal)
+    monkeypatch.setattr(server_module, "recv_frame",
+                        recv_held_after_first_frame)
+    gated = GatedFrontend(ShardedIndexFrontend(shards=1))
+    dropped_before = _dropped()
+    threads_before = set(threading.enumerate())
+    with SpectralServer(gated, dispatchers=1, queue_depth=1,
+                        request_timeout=60) as server:
+        host, port = server.address
+        sock = socket.create_connection((host, port), timeout=5)
+        sock.sendall(handshake_bytes())
+        recv_exact(sock, framing.HANDSHAKE_BYTES)
+        send_frame(sock, 1, OrderRequestMessage(domain=Grid((21, 5))))
+        deadline = time.monotonic() + 20
+        while server.pending < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.pending == 1
+        (reader,) = [t for t in set(threading.enumerate()) - threads_before
+                     if t.name.startswith("repro-net-conn-")]
+        sock.close()  # the FIN is queued; the reader is not reading
+        gated.gate.set()
+        assert replied.wait(timeout=20)
+        reader.join(timeout=20)  # it reaps the connection on its way out
+        assert not reader.is_alive()
+        assert _dropped() - dropped_before == 1
+
+
+def test_replies_without_msg_dontwait(monkeypatch):
+    """Platforms without ``socket.MSG_DONTWAIT`` (Windows) skip the
+    hung-up peek; every reply must still be delivered."""
+    monkeypatch.delattr(socket, "MSG_DONTWAIT", raising=False)
+    dropped_before = _dropped()
+    with SpectralServer(ShardedIndexFrontend(shards=1),
+                        dispatchers=1) as server:
+        host, port = server.address
+        with RemoteFrontend(host, port, read_timeout=60) as client:
+            assert client.health() is not None
+            order = client.order_grid(Grid((4, 3)))
+            assert sorted(order.permutation) == list(range(12))
+    assert _dropped() == dropped_before
+
+
 def test_client_reconnects_after_server_drops_connections():
     frontend = ShardedIndexFrontend(shards=1)
     with SpectralServer(frontend, dispatchers=1) as server:
